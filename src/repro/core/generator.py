@@ -24,9 +24,14 @@ are merged back in segment order, so serial and parallel generation
 produce bit-identical models (pinned by a differential test over the
 full workload suite).
 
-``RpStacksGenerator._generate_reference`` preserves the original
-whole-graph dict-of-lists walk as the oracle for that differential test
-and the baseline for ``benchmarks/bench_generate.py``.
+Per-node reduction runs in the compiled C kernel
+(:mod:`repro.core.native`) when one is available, and otherwise in
+:func:`~repro.core.reduction.reduce_blocks`, the numpy spec it is
+bit-identical to.  ``RpStacksGenerator._generate_reference`` is the
+walk's executable reference: a whole-graph dict-of-lists walk that
+reduces each converging node with
+:func:`~repro.core.reduction.reduce_stacks`, against which the segment
+walk is differentially tested.
 """
 
 from __future__ import annotations
@@ -39,11 +44,7 @@ from repro.common.config import LatencyConfig
 from repro.common.events import NUM_EVENTS, EventType
 from repro.core.model import GenerationStats, RpStacksModel
 from repro.core.native import load_native
-from repro.core.reduction import (
-    ReductionPolicy,
-    reduce_blocks,
-    reduce_stacks_reference,
-)
+from repro.core.reduction import ReductionPolicy, reduce_blocks, reduce_stacks
 from repro.obs import clock
 from repro.obs.observer import get_observer
 from repro.graphmodel.graph import DependenceGraph, SegmentView
@@ -147,12 +148,8 @@ def _walk_segment(
             )
             sets[v] = candidates[out_indices[:kept]]
             continue
-        result = reduce_blocks(candidates, sizes, base_theta, policy)
-        if result.base is not None:
-            # The two-candidate fast path can return a row view into the
-            # buffer; detach it before the buffer is reused.
-            result = result.copy()
-        sets[v] = result
+        # Fancy-indexed rows: a copy, so the buffer is free to reuse.
+        sets[v] = reduce_blocks(candidates, sizes, base_theta, policy)
 
     return sets[view.sink_local].copy(), candidate_stacks, reductions
 
@@ -327,12 +324,12 @@ class RpStacksGenerator:
         )
 
     def _generate_reference(self) -> RpStacksModel:
-        """Original whole-graph serial walk (differential-test oracle).
+        """Whole-graph serial walk (the walk's executable reference).
 
-        Kept verbatim — dict-of-lists node state, per-edge Python inner
-        loop, single-shot :func:`reduce_stacks_reference` — so the
-        segment-parallel path and the benchmarks always have the exact
-        pre-optimisation behaviour to compare against.
+        Dict-of-lists node state, a per-edge Python inner loop and
+        :func:`reduce_stacks` on each converging node's stacked
+        candidates — no segment views, slot tables or block structure,
+        so the segment walk has a plain oracle to match byte for byte.
         """
         start_time = clock.perf_seconds()
         graph = self.graph
@@ -345,12 +342,6 @@ class RpStacksGenerator:
         indptr = graph.in_indptr.tolist()
         charge_rows = graph.edge_charge_vectors()
         edge_has_charge = (charge_rows != 0).any(axis=1).tolist()
-
-        num_nodes = graph.num_nodes
-        # Remaining consumers per node, for releasing stack sets early.
-        remaining = [0] * num_nodes
-        for s in src:
-            remaining[s] += 1
 
         zero_set = np.zeros((1, NUM_EVENTS))
         node_sets: Dict[int, np.ndarray] = {}
@@ -366,54 +357,24 @@ class RpStacksGenerator:
 
         for v in topo:
             segment = (v // NODES_PER_UOP) // seg_len
-            begin, end = indptr[v], indptr[v + 1]
             gathered: List[np.ndarray] = []
-            single: Optional[np.ndarray] = None
-            single_edge = -1
-            intra_edges = 0
-            for e in range(begin, end):
+            for e in range(indptr[v], indptr[v + 1]):
                 s = src[e]
-                remaining[s] -= 1
-                released = remaining[s] == 0
                 if (s // NODES_PER_UOP) // seg_len != segment:
-                    if released:
-                        node_sets.pop(s, None)
                     continue  # segment boundary: cross edges are dropped
-                intra_edges += 1
-                pred_set = node_sets.get(s, zero_set)
-                if intra_edges == 1:
-                    single = pred_set
-                    single_edge = e
-                else:
-                    if single is not None:
-                        gathered.append(
-                            single + charge_rows[single_edge]
-                            if edge_has_charge[single_edge]
-                            else single
-                        )
-                        single = None
-                    gathered.append(
-                        pred_set + charge_rows[e]
-                        if edge_has_charge[e]
-                        else pred_set
-                    )
-                if released:
-                    node_sets.pop(s, None)
+                pred_set = node_sets[s]
+                if edge_has_charge[e]:
+                    pred_set = pred_set + charge_rows[e]
+                gathered.append(pred_set)
 
-            if intra_edges == 0:
+            if not gathered:
                 result = zero_set  # segment entry: start from nothing
-            elif single is not None:
-                result = (
-                    single + charge_rows[single_edge]
-                    if edge_has_charge[single_edge]
-                    else single
-                )
+            elif len(gathered) == 1:
+                result = gathered[0]
             else:
                 candidates = np.vstack(gathered)
                 stats.candidate_stacks += candidates.shape[0]
-                result = reduce_stacks_reference(
-                    candidates, base_theta, policy
-                )
+                result = reduce_stacks(candidates, base_theta, policy)
                 stats.reductions += 1
             node_sets[v] = result
             stats.nodes_visited += 1

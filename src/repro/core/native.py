@@ -1,16 +1,14 @@
-"""Optional C fast path for the per-node reduction (§III-C).
+"""C fast path for the per-node reduction (§III-C).
 
-The segment walk calls :func:`repro.core.reduction.reduce_blocks` at
-every converging node — tens of thousands of times per workload — on
-populations of a few dozen rows.  At that size the cost of the numpy
-implementation is ufunc *dispatch*, not arithmetic, so the walk is
-bounded by the Python/numpy call overhead long before the hardware is.
-
-This module compiles (once, cached) a small C routine that performs one
-entire node reduction — baseline penalties, stable descending sort,
-cross-block dominance, uniqueness marking, lazy greedy similarity merge
-and the population cap — in a single call.  Decisions are bit-identical
-to the numpy path:
+The segment walk reduces at every converging node — tens of thousands
+of times per workload — on populations of a few dozen rows.  At that
+size the cost of the numpy spec,
+:func:`repro.core.reduction.reduce_blocks`, is ufunc *dispatch*, not
+arithmetic, so this module compiles (once, cached) a small C routine
+that performs one entire node reduction — baseline penalties, stable
+descending sort, cross-block dominance, uniqueness marking, lazy greedy
+similarity merge and the population cap — in a single call.  It is the
+walk's only fast path, and its decisions are bit-identical to the spec:
 
 * penalties are integer-valued (unit counts priced by integer cycle
   latencies), so summation order cannot change them;
@@ -24,7 +22,7 @@ to the numpy path:
 
 A differential fuzz test and a full-suite model comparison pin the
 equivalence.  Everything degrades gracefully: no compiler, a failed
-build, or ``REPRO_NATIVE=0`` all fall back to the numpy path (set
+build, or ``REPRO_NATIVE=0`` all fall back to the numpy spec (set
 ``REPRO_NATIVE=1`` to make a missing native build an error instead).
 The compiled library is cached under the system temp directory keyed by
 source hash, so workers spawned by ``parallel_map`` just ``dlopen`` it.
@@ -86,17 +84,27 @@ static double sim_pair(const double *a, const double *b, int lo, int dims) {
  * block_sizes: rows per predecessor block (nblocks entries).
  * theta:       baseline pricing vector (dims entries).
  * sim_lo:      first similarity dimension (1 excludes BASE).
- * out_indices: caller buffer of >= count entries; receives the kept
+ * out_indices: caller buffer of capacity entries; receives the kept
  *              row indices (into the input order), output order.
- * Returns number of kept rows, or -1 on allocation failure.
+ * Returns number of kept rows, -1 on allocation failure, -2 if dims
+ * exceeds 64 (the support[] bound), -3 if the block sizes are negative
+ * or do not sum to count, -4 if capacity < count.
  */
 int repro_reduce_node(
     const double *stacks, int32_t count, int32_t dims,
     const int32_t *block_sizes, int32_t nblocks,
     const double *theta, int32_t sim_lo, double threshold,
-    int32_t max_paths, int32_t preserve_unique, int32_t *out_indices)
+    int32_t max_paths, int32_t preserve_unique, int32_t *out_indices,
+    int32_t capacity)
 {
-    if (dims > 64) return -1; /* support[] bound; never true for NUM_EVENTS */
+    if (dims > 64) return -2;
+    int64_t total = 0;
+    for (int b = 0; b < nblocks; b++) {
+        if (block_sizes[b] < 0) return -3;
+        total += block_sizes[b];
+    }
+    if (total != count) return -3;
+    if (capacity < count) return -4;
     if (count <= 1) {
         for (int i = 0; i < count; i++) out_indices[i] = i;
         return count;
@@ -237,6 +245,13 @@ int repro_reduce_node(
 }
 """
 
+#: repro_reduce_node's argument-check return codes.
+_ARGUMENT_ERRORS = {
+    -2: "native reduction supports at most 64 dimensions",
+    -3: "block sizes must be non-negative and sum to the row count",
+    -4: "out_indices needs one slot per candidate row",
+}
+
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
 
@@ -258,6 +273,7 @@ class NativeReduction:
             ctypes.c_int32,  # max_paths
             ctypes.c_int32,  # preserve_unique
             ctypes.c_void_p,  # out_indices
+            ctypes.c_int32,  # capacity
         ]
         self._fn = fn
 
@@ -277,6 +293,10 @@ class NativeReduction:
         *stacks* must be C-contiguous float64, *sizes*/*out_indices*
         int32, *theta* float64; *out_indices* needs >= count entries.
         Returns the number of kept rows.
+
+        Raises:
+            ValueError: *sizes* do not partition the rows, *out_indices*
+                is too short, or there are more than 64 dimensions.
         """
         count = self._fn(
             stacks.ctypes.data,
@@ -290,8 +310,11 @@ class NativeReduction:
             max_paths,
             1 if preserve_unique else 0,
             out_indices.ctypes.data,
+            out_indices.shape[0],
         )
         if count < 0:
+            if count in _ARGUMENT_ERRORS:
+                raise ValueError(_ARGUMENT_ERRORS[count])
             raise MemoryError("native reduction scratch allocation failed")
         return count
 

@@ -297,9 +297,9 @@ class TestCapPriority:
 
 
 class TestPairParity:
-    """The two-candidate fast path must be indistinguishable from the
-    general reduction machinery — pinned as a differential property over
-    random pairs, zero-priced theta dimensions and exact ties."""
+    """Appending a duplicate row must not change the reduction of a
+    pair — pinned as a differential property over random pairs,
+    zero-priced theta dimensions and exact ties."""
 
     pair_rows = hnp.arrays(
         dtype=np.float64,
@@ -336,12 +336,11 @@ class TestPairParity:
             preserve_unique=preserve_unique,
             include_base_in_similarity=include_base,
         )
-        # Two rows route through _reduce_pair; appending a duplicate of
-        # the first row forces the general path (dedup collapses it back
-        # to the same two-row population before reducing).
-        fast = reduce_stacks(pair, theta, policy)
-        general = reduce_stacks(
+        # The duplicate of the first row ties it on penalty from a later
+        # position, so it must be eliminated without a trace.
+        plain = reduce_stacks(pair, theta, policy)
+        duplicated = reduce_stacks(
             np.vstack([pair, pair[:1]]), theta, policy
         )
-        assert fast.shape == general.shape
-        assert (fast == general).all()
+        assert plain.shape == duplicated.shape
+        assert (plain == duplicated).all()

@@ -8,10 +8,10 @@ parallel walk must be *invisible* in the results:
    ``jobs=1`` on every suite workload (order-merged segment results);
 2. the array-native segment walk is bit-identical to the reference
    whole-graph dictionary walk it replaced;
-3. the compiled C per-node reducer is bit-identical to the numpy
-   reduction it fast-paths, both at the reduce level (fuzz over
-   block-structured populations) and end-to-end with the fallback
-   forced via ``REPRO_NATIVE=0``.
+3. the compiled C per-node reducer and the general ``reduce_stacks``
+   are bit-identical to the numpy spec ``reduce_blocks``, both at the
+   reduce level (fuzz over block-structured populations) and, for C,
+   end-to-end with the fallback forced via ``REPRO_NATIVE=0``.
 """
 
 import os
@@ -172,13 +172,18 @@ def _random_block_population(rng):
 class TestNativeReducerParity:
     def test_native_matches_numpy_reduction(self):
         native = load_native()
-        if native is None:
-            pytest.skip("no C toolchain available in this environment")
         rng = np.random.default_rng(7)
         out = np.empty(256, dtype=np.int32)
         for _ in range(150):
             stacks, sizes, theta, policy = _random_block_population(rng)
             expected = reduce_blocks(stacks, sizes, theta, policy)
+            # Block structure is only a shortcut: the general reduction
+            # of the same rows is bit-identical.
+            general = reduce_stacks(stacks, theta, policy)
+            assert general.shape == expected.shape
+            assert (general == expected).all()
+            if native is None:
+                continue  # no C toolchain: numpy parity only
             sim_lo = (
                 0
                 if policy.include_base_in_similarity
@@ -197,6 +202,33 @@ class TestNativeReducerParity:
             got = stacks[out[:kept]]
             assert got.shape == expected.shape
             assert (got == expected).all()
+
+    def test_native_rejects_inconsistent_buffers(self):
+        native = load_native()
+        if native is None:
+            pytest.skip("no C toolchain available in this environment")
+        stacks = np.ascontiguousarray(
+            np.arange(6 * NUM_EVENTS, dtype=np.float64).reshape(6, -1)
+        )
+        theta = np.ones(NUM_EVENTS)
+        sizes = np.asarray([3, 3], dtype=np.int32)
+        out = np.empty(6, dtype=np.int32)
+
+        def reduce(stacks, sizes, theta, out):
+            return native.reduce_node_indices(
+                stacks, sizes, theta, 1, 0.7, 32, True, out
+            )
+
+        assert reduce(stacks, sizes, theta, out) >= 1
+        with pytest.raises(ValueError, match="sum to the row count"):
+            reduce(stacks, np.asarray([1, 1], dtype=np.int32), theta, out)
+        with pytest.raises(ValueError, match="non-negative"):
+            reduce(stacks, np.asarray([7, -1], dtype=np.int32), theta, out)
+        with pytest.raises(ValueError, match="one slot per candidate row"):
+            reduce(stacks, sizes, theta, np.empty(1, dtype=np.int32))
+        wide = np.zeros((6, 65))
+        with pytest.raises(ValueError, match="at most 64 dimensions"):
+            reduce(wide, sizes, np.ones(65), out)
 
     def test_numpy_fallback_is_byte_identical_end_to_end(self):
         graph = _graph("gamess", macros=80)
