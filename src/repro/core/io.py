@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Union
+from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -70,18 +70,19 @@ def save_model(
     return path
 
 
-def load_model(path: Union[str, pathlib.Path]) -> RpStacksModel:
+def load_model(source: Union[str, pathlib.Path, BinaryIO]) -> RpStacksModel:
     """Load a model previously written by :func:`save_model`.
+
+    *source* is a path or a binary file object.
 
     Raises:
         ModelFormatError: on missing keys, version or event-taxonomy
             mismatches (a model saved under a different event set cannot
             be re-priced safely).
     """
-    path = pathlib.Path(path)
-    with np.load(path) as archive:
+    with np.load(source) as archive:
         if "meta_json" not in archive or "baseline_cycles" not in archive:
-            raise ModelFormatError(f"{path} is not an RpStacks model file")
+            raise ModelFormatError(f"{source} is not an RpStacks model file")
         meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
         if meta.get("format_version") not in COMPATIBLE_VERSIONS:
             raise ModelFormatError(

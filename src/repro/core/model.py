@@ -138,13 +138,16 @@ class RpStacksModel:
     def predict_cycles_matrix(self, thetas: np.ndarray) -> np.ndarray:
         """Price a whole ``(NUM_EVENTS, n)`` pricing-vector chunk at once.
 
-        This is the streaming sweep engine's kernel: one matrix product
-        prices every representative path under every configuration, and
-        one grouped-max reduction (``maximum.reduceat``) plus a column
-        sum folds paths into per-configuration cycle predictions.  All
-        intermediates are integer-valued and well inside float64's exact
-        range, so the result is bit-identical to per-point
-        :meth:`predict_cycles` regardless of chunking.
+        This is the streaming sweep engine's kernel.  Segments are
+        priced one at a time: a matrix product prices the segment's
+        representative paths under every configuration, a column max
+        picks each configuration's critical path, and the result is
+        added in place into one ``(n,)`` accumulator.  The largest
+        temporary is therefore (largest segment × n), not (all paths ×
+        n).  All intermediates are integer-valued and well inside
+        float64's exact range, so the result is bit-identical to
+        per-point :meth:`predict_cycles` regardless of chunking or
+        summation order.
 
         Args:
             thetas: ``(NUM_EVENTS, n)`` array, one pricing vector
@@ -158,11 +161,10 @@ class RpStacksModel:
             raise ValueError(
                 f"thetas must be (NUM_EVENTS, n); got {thetas.shape}"
             )
-        if thetas.shape[1] == 0:
-            return np.empty(0, dtype=np.float64)
-        values = self._matrix @ thetas  # (paths, configs)
-        maxima = np.maximum.reduceat(values, self._segment_starts, axis=0)
-        return maxima.sum(axis=0)
+        cycles = np.zeros(thetas.shape[1], dtype=np.float64)
+        for stacks in self.segment_stacks:
+            cycles += (stacks @ thetas).max(axis=0)
+        return cycles
 
     def representative_stack(
         self, latency: LatencyConfig

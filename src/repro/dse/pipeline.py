@@ -28,7 +28,13 @@ from repro.simulator.trace import SimResult
 
 @dataclass
 class AnalysisSession:
-    """Everything derived from one baseline simulation of one workload."""
+    """Everything derived from one baseline simulation of one workload.
+
+    A cold analysis builds every field up front.  A cache hit
+    (:meth:`from_artifacts`) holds only the config and the model; the
+    other fields are built from the entry's verified bytes on first
+    access and kept.
+    """
 
     workload: Workload
     config: MicroarchConfig
@@ -40,8 +46,56 @@ class AnalysisSession:
     fmt: FMTPredictor
     reeval: GraphReevalPredictor
 
+    #: a cache hit's :class:`~repro.runtime.cache.EntryArtifacts`
+    #: (``None``: every field was built eagerly)
+    _artifacts = None
+
+    @classmethod
+    def from_artifacts(
+        cls,
+        config: MicroarchConfig,
+        rpstacks: RpStacksModel,
+        artifacts,
+        workload: Optional[Workload] = None,
+    ) -> "AnalysisSession":
+        """A cache-hit session whose other fields load on first access.
+
+        *workload* is adopted as is when given; otherwise it comes from
+        the trace archive.
+        """
+        session = cls.__new__(cls)
+        session.config = config
+        session.rpstacks = rpstacks
+        session._artifacts = artifacts
+        if workload is not None:
+            session.workload = workload
+        return session
+
+    def __getattr__(self, name: str):
+        # Only reached for names missing from the instance: a cache
+        # hit's fields that have not been built yet.  Threads racing
+        # here each build an equal value; the last write wins.
+        build = _LAZY_FIELDS.get(name)
+        if build is None or self._artifacts is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        value = build(self)
+        setattr(self, name, value)
+        return value
+
+    @property
+    def baseline_cycles(self) -> int:
+        """Simulated cycles of the baseline run."""
+        if self._artifacts is not None:
+            return self._artifacts.baseline_cycles
+        return self.baseline_result.cycles
+
     @property
     def baseline_cpi(self) -> float:
+        """Simulated CPI of the baseline run (:attr:`SimResult.cpi`)."""
+        if self._artifacts is not None:
+            return self.baseline_cycles / max(1, self._artifacts.num_uops)
         return self.baseline_result.cpi
 
     def predictors(self) -> Dict[str, object]:
@@ -118,6 +172,27 @@ class AnalysisSession:
         return self.machine.simulate(latency)
 
 
+def _baseline_machine(session: AnalysisSession) -> Machine:
+    """A machine whose memo already holds the baseline run, so
+    ``session.simulate(baseline)`` and overhead accounting match a
+    freshly analysed session."""
+    machine = Machine(session.workload, session.config)
+    machine._cache[session.config.latency] = session.baseline_result
+    return machine
+
+
+#: How a cache-hit session builds each deferred field from its artifacts.
+_LAZY_FIELDS = {
+    "baseline_result": lambda s: s._artifacts.load_result(),
+    "workload": lambda s: s.baseline_result.workload,
+    "graph": lambda s: s._artifacts.load_graph(),
+    "machine": _baseline_machine,
+    "cp1": lambda s: CP1Predictor(s.graph, s.config.latency),
+    "fmt": lambda s: FMTPredictor(s.baseline_result),
+    "reeval": lambda s: GraphReevalPredictor(s.graph),
+}
+
+
 def analyze(
     workload: Workload,
     config: Optional[MicroarchConfig] = None,
@@ -146,8 +221,9 @@ def analyze(
         warm_caches: warm caches/TLBs to steady state before measuring.
         cache: an :class:`~repro.runtime.cache.ArtifactCache` (or a
             cache directory path) for content-addressed reuse: when the
-            exact same analysis has run before, its archived trace,
-            graph and model are reloaded instead of re-simulated.
+            exact same analysis has run before, the session comes from
+            its archived artifacts instead of a new simulation (the
+            model parsed at once, the rest on first access).
         obs: an :class:`~repro.obs.Observer`; installed as the ambient
             observer for the duration of the call so every stage below
             (simulation, graph build, stack generation, cache probes)
@@ -207,7 +283,7 @@ def _analyze_instrumented(
             warm_caches=warm_caches,
         )
         with obs.span("cache.load", workload=workload.name) as span:
-            session = cache.load(key)
+            session = cache.load(key, workload=workload)
         if session is not None:
             obs.counter("cache.hit").inc()
             span.set(outcome="hit")

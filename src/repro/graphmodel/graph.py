@@ -246,6 +246,18 @@ class DependenceGraph:
             )
         return self._edge_charges
 
+    def charge_lengths(self) -> np.ndarray:
+        """``(num_edges,)`` int8 count of event pairs on each edge.
+
+        Packed graphs hold it already; only record-built graphs count
+        their sparse charges (once, then memoised).
+        """
+        if self._charge_lengths is None:
+            self._charge_lengths = np.array(
+                [len(charge) for charge in self._edge_charges], dtype=np.int8
+            )
+        return self._charge_lengths
+
     @property
     def sink(self) -> int:
         """Commit node of the last µop — the end of every execution path."""

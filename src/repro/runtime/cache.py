@@ -6,9 +6,10 @@ microsecond design-point evaluations; this cache amortises it across
 its inputs (see :mod:`repro.runtime.fingerprint`) and the resulting
 artifacts — the timing trace, the dependence graph and the RpStacks
 model — are persisted under that key.  A later call with identical
-inputs reloads the artifacts and cheaply reconstructs the comparison
-predictors instead of re-simulating, turning a multi-second analysis
-into a few tens of milliseconds.
+inputs reloads the artifacts instead of re-simulating: a hit verifies
+every artifact but parses only the model, and the trace, graph and
+comparison predictors are built from the verified bytes when first
+used.  A multi-second analysis becomes a few milliseconds.
 
 Layout (one directory per entry, sharded by key prefix)::
 
@@ -34,6 +35,8 @@ Integrity and parallel-safety:
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import pathlib
@@ -169,13 +172,23 @@ class ArtifactCache:
 
     # ---- read path ----------------------------------------------------
 
-    def load(self, key: str):
+    def load(self, key: str, workload=None):
         """Return the cached :class:`~repro.dse.pipeline.AnalysisSession`
         for *key*, or ``None`` on miss or corruption.
 
-        A failed checksum, a truncated archive or any deserialisation
-        error counts as a miss: the entry is evicted and ``None`` is
-        returned so the caller recomputes (and re-stores) it.
+        Every artifact is read once and its SHA-256 checked against
+        ``meta.json`` from those same bytes; the trace and graph
+        archives' headers are version-checked.  Only the model is parsed
+        here: the session builds its trace, graph, machine and baseline
+        predictors from the verified bytes on first access (see
+        :meth:`AnalysisSession.from_artifacts`).  *workload*, when the
+        caller has it (it fingerprinted into *key*), becomes the
+        session's workload as is.
+
+        A failed checksum, a truncated archive, an unreadable header or
+        any deserialisation error counts as a miss: the entry is evicted
+        and ``None`` is returned so the caller recomputes (and re-stores)
+        it.
         """
         entry = self._entry_dir(key)
         meta_path = entry / "meta.json"
@@ -184,12 +197,13 @@ class ArtifactCache:
             return None
         try:
             meta = json.loads(meta_path.read_text())
-            checksums = meta["checksums"]
+            blobs = {}
             for name in _ARTIFACTS:
-                artifact = entry / name
-                if file_checksum(artifact) != checksums[name]:
+                blobs[name] = (entry / name).read_bytes()
+                digest = hashlib.sha256(blobs[name]).hexdigest()
+                if digest != meta["checksums"][name]:
                     raise CacheCorruption(f"checksum mismatch on {name}")
-            session = self._load_session(entry)
+            session = self._load_session(meta, blobs, workload)
         except Exception:
             # Corrupt, truncated, unreadable or written by an
             # incompatible library version: evict and recompute.
@@ -201,34 +215,24 @@ class ArtifactCache:
         return session
 
     @staticmethod
-    def _load_session(entry: pathlib.Path):
-        from repro.baselines.cp1 import CP1Predictor
-        from repro.baselines.fmt import FMTPredictor
+    def _load_session(meta: dict, blobs: Dict[str, bytes], workload):
         from repro.core.io import load_model
         from repro.dse.pipeline import AnalysisSession
-        from repro.graphmodel.reeval import GraphReevalPredictor
-        from repro.runtime.graphio import load_graph
-        from repro.simulator.machine import Machine
-        from repro.simulator.traceio import load_result
+        from repro.runtime import graphio
+        from repro.simulator import traceio
 
-        result = load_result(entry / "trace.npz")
-        graph = load_graph(entry / "graph.npz")
-        model = load_model(entry / "model.npz")
-        config = result.config
-        machine = Machine(result.workload, config)
-        # Pre-seed the machine's memo so ``session.simulate(baseline)``
-        # (and overhead accounting) match a freshly analysed session.
-        machine._cache[config.latency] = result
-        return AnalysisSession(
-            workload=result.workload,
-            config=config,
-            machine=machine,
-            baseline_result=result,
-            graph=graph,
-            rpstacks=model,
-            cp1=CP1Predictor(graph, config.latency),
-            fmt=FMTPredictor(result),
-            reeval=GraphReevalPredictor(graph),
+        trace_meta = traceio.read_header(io.BytesIO(blobs["trace.npz"]))
+        graphio.read_header(io.BytesIO(blobs["graph.npz"]))
+        return AnalysisSession.from_artifacts(
+            config=traceio.config_from_dict(trace_meta["config"]),
+            rpstacks=load_model(io.BytesIO(blobs["model.npz"])),
+            artifacts=EntryArtifacts(
+                trace_npz=blobs["trace.npz"],
+                graph_npz=blobs["graph.npz"],
+                baseline_cycles=int(meta["baseline_cycles"]),
+                num_uops=int(meta["num_uops"]),
+            ),
+            workload=workload,
         )
 
     # ---- write path ---------------------------------------------------
@@ -343,6 +347,32 @@ class ArtifactCache:
             shutil.rmtree(entry, ignore_errors=True)
             removed += 1
         return removed
+
+
+@dataclass(frozen=True)
+class EntryArtifacts:
+    """The checksum-verified trace and graph archives of one cache hit.
+
+    Held as bytes, so the lazy fields of the session they back resolve
+    even after the entry is cleared or replaced on disk, and the
+    session pickles with them.  ``baseline_cycles`` and ``num_uops``
+    come from ``meta.json``, so the baseline CPI needs no trace parse.
+    """
+
+    trace_npz: bytes = field(repr=False)
+    graph_npz: bytes = field(repr=False)
+    baseline_cycles: int
+    num_uops: int
+
+    def load_result(self):
+        from repro.simulator.traceio import load_result
+
+        return load_result(io.BytesIO(self.trace_npz))
+
+    def load_graph(self):
+        from repro.runtime.graphio import load_graph
+
+        return load_graph(io.BytesIO(self.graph_npz))
 
 
 class CacheCorruption(RuntimeError):

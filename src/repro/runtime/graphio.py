@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Union
+from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -34,9 +34,6 @@ def save_graph(
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
 
-    lengths = np.array(
-        [len(charge) for charge in graph.edge_charges], dtype=np.int8
-    )
     meta = {
         "format_version": FORMAT_VERSION,
         "num_uops": graph.num_uops,
@@ -49,7 +46,7 @@ def save_graph(
         edge_dst=graph.edge_dst,
         charge_events=graph._events,
         charge_units=graph._units,
-        charge_lengths=lengths,
+        charge_lengths=graph.charge_lengths(),
         meta_json=np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
         ),
@@ -57,17 +54,35 @@ def save_graph(
     return path
 
 
-def load_graph(path: Union[str, pathlib.Path]) -> DependenceGraph:
-    """Load a graph previously written by :func:`save_graph`."""
-    path = pathlib.Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        if "meta_json" not in archive:
-            raise GraphFormatError(f"{path} is not a graph archive")
-        meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-        if meta.get("format_version") != FORMAT_VERSION:
-            raise GraphFormatError(
-                f"unsupported format version {meta.get('format_version')}"
-            )
+def _checked_meta(archive, source) -> dict:
+    """The archive's ``meta_json`` header, if this build reads its
+    format version."""
+    if "meta_json" not in archive:
+        raise GraphFormatError(f"{source} is not a graph archive")
+    meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
+    if meta.get("format_version") != FORMAT_VERSION:
+        raise GraphFormatError(
+            f"unsupported format version {meta.get('format_version')}"
+        )
+    return meta
+
+
+def read_header(source: Union[str, pathlib.Path, BinaryIO]) -> dict:
+    """An archive's version-checked metadata header, without reading
+    any edge array.  *source* is a path or a binary file object."""
+    with np.load(source, allow_pickle=False) as archive:
+        return _checked_meta(archive, source)
+
+
+def load_graph(
+    source: Union[str, pathlib.Path, BinaryIO]
+) -> DependenceGraph:
+    """Load a graph previously written by :func:`save_graph`.
+
+    *source* is a path or a binary file object.
+    """
+    with np.load(source, allow_pickle=False) as archive:
+        meta = _checked_meta(archive, source)
         edge_src = archive["edge_src"]
         edge_dst = archive["edge_dst"]
         events = archive["charge_events"]

@@ -484,7 +484,7 @@ class WorkloadOutcome:
 
     @property
     def baseline_cycles(self) -> Optional[int]:
-        return self.session.baseline_result.cycles if self.ok else None
+        return self.session.baseline_cycles if self.ok else None
 
     @property
     def baseline_cpi(self) -> Optional[float]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from typing import Union
+from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -212,25 +212,46 @@ def result_digest(result: SimResult) -> str:
     return digest.hexdigest()
 
 
-def load_result(path: Union[str, pathlib.Path]) -> SimResult:
+def _checked_meta(archive, source) -> dict:
+    """The archive's ``meta_json`` header, if this build reads its
+    format version."""
+    if "meta_json" not in archive:
+        raise TraceFormatError(f"{source} is not a trace archive")
+    meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
+    version = meta.get("format_version")
+    if version not in range(COMPAT_FORMAT_VERSION, FORMAT_VERSION + 1):
+        raise TraceFormatError(
+            f"{source}: unsupported trace format version {version} "
+            f"(this build reads versions "
+            f"{COMPAT_FORMAT_VERSION}..{FORMAT_VERSION})"
+        )
+    return meta
+
+
+def read_header(source: Union[str, pathlib.Path, BinaryIO]) -> dict:
+    """An archive's metadata header (workload identity, cycles, stats,
+    config), version-checked, without reading any µop or trace array.
+
+    *source* is a path or a binary file object.
+
+    Raises:
+        TraceFormatError: not a trace archive, or a format version this
+            build cannot read.
+    """
+    with np.load(source, allow_pickle=False) as archive:
+        return _checked_meta(archive, source)
+
+
+def load_result(source: Union[str, pathlib.Path, BinaryIO]) -> SimResult:
     """Load an archive written by :func:`save_result` (any readable
-    format version — see :data:`COMPAT_FORMAT_VERSION`)."""
-    path = pathlib.Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        if "meta_json" not in archive:
-            raise TraceFormatError(f"{path} is not a trace archive")
-        meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-        version = meta.get("format_version")
-        if version == 1:
-            loader = _load_v1
-        elif version == 2:
-            loader = _load_v2
-        else:
-            raise TraceFormatError(
-                f"{path}: unsupported trace format version {version} "
-                f"(this build reads versions "
-                f"{COMPAT_FORMAT_VERSION}..{FORMAT_VERSION})"
-            )
+    format version — see :data:`COMPAT_FORMAT_VERSION`).
+
+    *source* is a path or a binary file object.
+    """
+    with np.load(source, allow_pickle=False) as archive:
+        meta = _checked_meta(archive, source)
+        version = meta["format_version"]
+        loader = _load_v1 if version == 1 else _load_v2
         # Format-version observability: how often the compatibility
         # path (v1) still runs vs the columnar format (v2).
         from repro.obs.observer import get_observer

@@ -188,6 +188,24 @@ def test_graph_roundtrip_is_lossless(tmp_path_factory, spec, seed):
     )
 
 
+def test_saving_a_packed_graph_keeps_its_charges_packed(tmp_path):
+    from repro.graphmodel.builder import DependenceGraphBuilder
+    from repro.simulator.core import simulate
+
+    result = simulate(make_workload("gamess", 60), baseline_config())
+    packed = build_graph(result)
+    records = DependenceGraphBuilder(result).build()
+    save_graph(packed, tmp_path / "packed.npz")
+    save_graph(records, tmp_path / "records.npz")
+    assert packed._edge_charges is None
+    with np.load(tmp_path / "packed.npz") as mine, \
+            np.load(tmp_path / "records.npz") as theirs:
+        assert mine.files == theirs.files
+        for key in mine.files:
+            assert np.array_equal(mine[key], theirs[key]), key
+            assert mine[key].dtype == theirs[key].dtype, key
+
+
 @given(
     spec=specs,
     seed=st.integers(min_value=0, max_value=10 ** 4),
