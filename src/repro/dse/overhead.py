@@ -25,8 +25,7 @@ from repro.isa.uop import Workload
 from repro.obs import clock
 from repro.obs.observer import use_observer
 from repro.obs.report import format_seconds, stage_table
-from repro.simulator.core import TimingSimulator
-from repro.simulator.prepass import run_prepass
+from repro.simulator.core import simulate
 
 
 @dataclass
@@ -158,8 +157,9 @@ def measure_overhead(
             "profile.simulate", workload=workload.name
         ):
             start = clock.perf_seconds()
-            prepass = run_prepass(workload, config)
-            result = TimingSimulator(workload, config, prepass).run()
+            # The Python reference simulator, both passes: it stands
+            # in for the paper's detailed simulator.
+            result = simulate(workload, config, native=False)
             simulate_seconds = clock.perf_seconds() - start
 
         with observer.span("profile.graph_build", workload=workload.name):

@@ -176,7 +176,11 @@ def _baseline_machine(session: AnalysisSession) -> Machine:
     """A machine whose memo already holds the baseline run, so
     ``session.simulate(baseline)`` and overhead accounting match a
     freshly analysed session."""
-    machine = Machine(session.workload, session.config)
+    machine = Machine(
+        session.workload,
+        session.config,
+        warm_caches=session._artifacts.warm_caches,
+    )
     machine._cache[session.config.latency] = session.baseline_result
     return machine
 
@@ -283,7 +287,9 @@ def _analyze_instrumented(
             warm_caches=warm_caches,
         )
         with obs.span("cache.load", workload=workload.name) as span:
-            session = cache.load(key, workload=workload)
+            session = cache.load(
+                key, workload=workload, warm_caches=warm_caches
+            )
         if session is not None:
             obs.counter("cache.hit").inc()
             span.set(outcome="hit")

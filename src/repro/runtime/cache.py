@@ -172,7 +172,7 @@ class ArtifactCache:
 
     # ---- read path ----------------------------------------------------
 
-    def load(self, key: str, workload=None):
+    def load(self, key: str, workload=None, warm_caches: bool = True):
         """Return the cached :class:`~repro.dse.pipeline.AnalysisSession`
         for *key*, or ``None`` on miss or corruption.
 
@@ -183,7 +183,8 @@ class ArtifactCache:
         predictors from the verified bytes on first access (see
         :meth:`AnalysisSession.from_artifacts`).  *workload*, when the
         caller has it (it fingerprinted into *key*), becomes the
-        session's workload as is.
+        session's workload as is; *warm_caches* (also in *key*) is the
+        setting the session's machine re-simulates with.
 
         A failed checksum, a truncated archive, an unreadable header or
         any deserialisation error counts as a miss: the entry is evicted
@@ -203,7 +204,9 @@ class ArtifactCache:
                 digest = hashlib.sha256(blobs[name]).hexdigest()
                 if digest != meta["checksums"][name]:
                     raise CacheCorruption(f"checksum mismatch on {name}")
-            session = self._load_session(meta, blobs, workload)
+            session = self._load_session(
+                meta, blobs, workload, warm_caches
+            )
         except Exception:
             # Corrupt, truncated, unreadable or written by an
             # incompatible library version: evict and recompute.
@@ -215,7 +218,9 @@ class ArtifactCache:
         return session
 
     @staticmethod
-    def _load_session(meta: dict, blobs: Dict[str, bytes], workload):
+    def _load_session(
+        meta: dict, blobs: Dict[str, bytes], workload, warm_caches: bool
+    ):
         from repro.core.io import load_model
         from repro.dse.pipeline import AnalysisSession
         from repro.runtime import graphio
@@ -231,6 +236,7 @@ class ArtifactCache:
                 graph_npz=blobs["graph.npz"],
                 baseline_cycles=int(meta["baseline_cycles"]),
                 num_uops=int(meta["num_uops"]),
+                warm_caches=warm_caches,
             ),
             workload=workload,
         )
@@ -357,12 +363,15 @@ class EntryArtifacts:
     even after the entry is cleared or replaced on disk, and the
     session pickles with them.  ``baseline_cycles`` and ``num_uops``
     come from ``meta.json``, so the baseline CPI needs no trace parse.
+    ``warm_caches`` is the analysis's cache-warming setting (part of the
+    entry's key), which the session's machine re-simulates with.
     """
 
     trace_npz: bytes = field(repr=False)
     graph_npz: bytes = field(repr=False)
     baseline_cycles: int
     num_uops: int
+    warm_caches: bool = True
 
     def load_result(self):
         from repro.simulator.traceio import load_result

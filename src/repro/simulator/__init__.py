@@ -14,7 +14,7 @@ from repro.simulator.columns import (
     columns_equal,
     workload_columns,
 )
-from repro.simulator.core import TimingSimulator, simulate
+from repro.simulator.core import TimingSimulator, simulate, time_prepass
 from repro.simulator.machine import Machine
 from repro.simulator.pipeview import render_pipeline
 from repro.simulator.prefetch import (
@@ -27,8 +27,6 @@ from repro.simulator.prefetch import (
 from repro.simulator.native import (
     UnsupportedWorkloadError,
     load_native_sim,
-    try_native_simulate,
-    try_native_timing,
 )
 from repro.simulator.prepass import PrepassResult, run_prepass
 from repro.simulator.traceio import load_result, result_digest, save_result
@@ -73,7 +71,6 @@ __all__ = [
     "save_result",
     "run_prepass",
     "simulate",
-    "try_native_simulate",
-    "try_native_timing",
+    "time_prepass",
     "workload_columns",
 ]

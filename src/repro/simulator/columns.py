@@ -193,9 +193,9 @@ class TraceColumns:
         Value-identical (and ``==``-equal) to the records the Python
         simulator would have produced: charges become ``(EventType,
         int)`` tuples, producers become int tuples, flags become Python
-        bools.  Uses the same GC-paused bulk-allocation technique as the
-        native record builder — this is the legacy compatibility path,
-        paid only when something touches ``SimResult.uops``.
+        bools.  Records are bulk-allocated with cyclic GC paused; this
+        is the compatibility path, paid only when something touches
+        ``SimResult.uops`` of a compiled-pipeline result.
         """
         # PR 7 moved this tax off the hot path; the span and counter
         # keep it visible in `repro profile` / `repro bench` if a code

@@ -530,11 +530,26 @@ class TimingSimulator:
         )
 
 
+def time_prepass(
+    workload: Workload, config: MicroarchConfig, prepass: PrepassResult
+) -> SimResult:
+    """Time *prepass* under *config* with the loop of the pass that made it.
+
+    A compiled (packed) prepass goes to the compiled timing loop and
+    yields a columnar trace; a Python one goes to
+    :class:`TimingSimulator`, which stamps its records in place.
+    """
+    if prepass.packed is not None:
+        from repro.simulator.native import native_timing
+
+        return native_timing(workload, config, prepass)
+    return TimingSimulator(workload, config, prepass).run()
+
+
 def simulate(
     workload: Workload,
     config: MicroarchConfig,
     warm_caches: bool = True,
-    prepass: Optional[PrepassResult] = None,
     native: Optional[bool] = None,
 ) -> SimResult:
     """Run one full timing simulation.
@@ -543,36 +558,17 @@ def simulate(
         workload: the dynamic micro-op stream.
         config: the design point (structure + latency domains).
         warm_caches: replay the stream once to warm caches/TLBs first.
-        prepass: reuse a previously computed functional pre-pass (it only
-            depends on the structure domain, so it is shared across the
-            latency sweep of one structure).  NOTE: pre-pass records are
-            re-stamped with this run's timestamps.
         native: ``None`` uses the compiled simulator when available (the
             ``REPRO_NATIVE``-gated default), ``False`` forces the Python
-            loops, ``True`` requires the compiled path.  The two are bit
-            identical; the differential parity suite pins that.
+            pipeline, ``True`` requires the compiled one.  The choice is
+            made once, by :func:`run_prepass`; the timing run follows
+            it.  The two pipelines are bit identical; the differential
+            parity suite pins that.
 
     Returns:
         The :class:`~repro.simulator.trace.SimResult` of the run.
     """
-    if prepass is None:
-        if native is not False:
-            # One-shot run: the fused compiled prepass+timing path
-            # materialises the trace records exactly once.
-            from repro.simulator.native import try_native_simulate
-
-            result = try_native_simulate(
-                workload, config, warm_caches=warm_caches, native=native
-            )
-            if result is not None:
-                return result
-        prepass = run_prepass(
-            workload, config, warm_caches=warm_caches, native=native
-        )
-    if native is not False:
-        from repro.simulator.native import try_native_timing
-
-        result = try_native_timing(workload, config, prepass, native)
-        if result is not None:
-            return result
-    return TimingSimulator(workload, config, prepass).run()
+    prepass = run_prepass(
+        workload, config, warm_caches=warm_caches, native=native
+    )
+    return time_prepass(workload, config, prepass)

@@ -5,6 +5,11 @@ configuration and answers timing queries for any number of latency design
 points, sharing the functional pre-pass (caches, TLBs, branch predictor,
 dependencies) across them.  This mirrors the paper's exploration shape:
 one structure, many latency configurations.
+
+The prepass picks the pipeline (``native``: ``None`` follows the
+``REPRO_NATIVE`` gate, ``False`` forces Python, ``True`` requires the
+compiled kernels), and every latency point is timed by the loop of that
+same pipeline, whatever the gate says by then.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from repro.common.config import LatencyConfig, MicroarchConfig, baseline_config
 from repro.isa.uop import Workload
 from repro.obs import clock
 from repro.obs.observer import get_observer
-from repro.simulator.core import TimingSimulator
+from repro.simulator.core import time_prepass
 from repro.simulator.prepass import PrepassResult, run_prepass
 from repro.simulator.trace import SimResult
 
@@ -40,10 +45,6 @@ class Machine:
     ) -> None:
         self.workload = workload
         self.config = config or baseline_config()
-        #: tri-state compiled-path selection (None = auto via
-        #: ``REPRO_NATIVE``, False = Python, True = require native);
-        #: both paths are bit identical so cached results are portable.
-        self.native = native
         # The observer is resolved ambiently (never stored) so Machine —
         # and the AnalysisSession wrapping it — stays picklable across
         # the worker pool and the artifact cache.
@@ -81,54 +82,31 @@ class Machine:
             "sim.run", workload=self.workload.name, uops=len(self.workload)
         ):
             source = self._prepass
-            result = None
-            if (
-                self.native is not False
-                and source.packed is not None
-                and not source.records_materialised
-            ):
-                # Columnar fast path: the shared prepass never grew
-                # Python records, so hand the native loop a lightweight
-                # per-run wrapper around the (read-only) packed arrays.
-                # Each wrapper carries its own sticky witness arrays, so
-                # every latency point starts with unbound witnesses —
-                # the same isolation the record-copy path buys below.
-                from repro.simulator.native import try_native_timing
-
+            if source.packed is not None:
+                # Compiled pipeline: a per-run wrapper around the shared,
+                # read-only packed arrays.  Each wrapper carries its own
+                # sticky witness arrays, so every latency point starts
+                # with unbound witnesses.
                 prepass = PrepassResult(
                     stats=source.stats, packed=source.packed
                 )
-                result = try_native_timing(
-                    self.workload, design, prepass, self.native
-                )
-            if result is None:
-                # Each run stamps timestamps into the trace records; copy
-                # the pre-pass records so cached results stay immutable.
+            else:
+                # Python pipeline: each run stamps timestamps and
+                # witnesses into the records, so each latency point gets
+                # its own copies and cached results stay immutable.
                 # Record fields are all immutable, so per-record shallow
-                # copies suffice (and the packed arrays are read-only, so
-                # they are shared rather than duplicated).
+                # copies suffice.
                 prepass = PrepassResult(
                     records=[copy.copy(rec) for rec in source.records],
                     frees_reg_on_commit=source.frees_reg_on_commit,
                     needs_phys_reg=source.needs_phys_reg,
                     macro_last_uop=source.macro_last_uop,
                     stats=source.stats,
-                    packed=source.packed,
                 )
-                if self.native is not False:
-                    from repro.simulator.native import try_native_timing
-
-                    result = try_native_timing(
-                        self.workload, design, prepass, self.native
-                    )
-            used_native = result is not None
-            if result is None:
-                result = TimingSimulator(
-                    self.workload, design, prepass
-                ).run()
+            result = time_prepass(self.workload, design, prepass)
         if obs.enabled:
             obs.counter("sim.runs").inc()
-            if used_native:
+            if prepass.packed is not None:
                 obs.counter("sim.native_runs").inc()
             obs.counter("sim.uops_retired").inc(len(self.workload))
             obs.histogram("sim.seconds").observe(

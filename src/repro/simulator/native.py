@@ -1,4 +1,4 @@
-"""Optional compiled fast path for the cycle-level simulator.
+"""Compiled twin of the cycle-level simulator.
 
 The pure-Python simulator (``prepass.py`` + ``core.py``) is the
 dominant cost of a cold analysis: at 200k µops the functional pre-pass
@@ -13,12 +13,21 @@ cache, ``REPRO_NATIVE`` gate, automatic Python fallback):
   caches and TLBs, bimodal/gshare predictors, the prefetchers, the
   rename-map dependence walk, store barriers and the line-share
   window.  It consumes flat µop arrays and emits per-µop outcome
-  arrays (service levels, miss flags, producers, witnesses) from which
-  the :class:`~repro.simulator.trace.UopTrace` records are rebuilt.
+  arrays (service levels, miss flags, producers, witnesses): the
+  :class:`PackedPrepass` held by a compiled
+  :class:`~repro.simulator.prepass.PrepassResult`.
 * ``repro_sim_timing`` — the per-cycle commit/issue/dispatch/rename/
-  fetch loop with idle-cycle skipping, consuming prepass outcome
-  arrays plus per-design latency arrays and emitting the pipeline
-  timestamps and structural witnesses directly.
+  fetch loop with idle-cycle skipping, consuming those outcome arrays
+  plus per-design latency arrays and emitting the pipeline timestamps
+  and structural witnesses, which land in
+  :class:`~repro.simulator.columns.TraceColumns` with no per-row
+  Python work.
+
+The two kernels form one pipeline, as the Python pass and
+``TimingSimulator`` form the other: ``run_prepass`` reads the
+``REPRO_NATIVE`` gate once and picks the pipeline, and the timing run
+follows the prepass it is given.  No path converts one pipeline's
+prepass into the other's.
 
 Everything is integer arithmetic, so the native path is **bit
 identical** to the Python reference by construction; a 12-workload
@@ -27,17 +36,15 @@ stress-kernel oracles pin the equivalence.  The Python implementation
 stays untouched as the executable specification.
 
 Workloads the packer cannot express (register ids outside 0..255, more
-than two address sources) silently fall back to the Python path.
+than two address sources) silently run both passes in Python.
 """
 
 from __future__ import annotations
 
 import ctypes
-import gc
-import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,9 +53,9 @@ from repro.common.events import EventType
 from repro.core.native import compile_shared_library, load_gated, native_mode
 from repro.isa.uop import EXEC_EVENT, OpClass, Workload
 from repro.simulator.columns import TraceColumns
+from repro.simulator.prepass import LINE_SHARE_WINDOW, PrepassResult
 from repro.simulator.trace import (
     SimResult,
-    UopTrace,
     data_access_charge,
     fetch_access_charge,
 )
@@ -831,6 +838,12 @@ _CACHED: Optional[NativeSim] = None
 _LOAD_ATTEMPTED = False
 
 
+def _build_native_sim() -> NativeSim:
+    return NativeSim(
+        ctypes.CDLL(compile_shared_library("simulator", _C_SOURCE))
+    )
+
+
 def load_native_sim() -> Optional[NativeSim]:
     """The compiled simulator, or ``None`` when unavailable.
 
@@ -849,12 +862,19 @@ def load_native_sim() -> Optional[NativeSim]:
     if _LOAD_ATTEMPTED:
         return None
     _LOAD_ATTEMPTED = True
-    _CACHED = load_gated(
-        "simulator",
-        lambda: NativeSim(
-            ctypes.CDLL(compile_shared_library("simulator", _C_SOURCE))
-        ),
-    )
+    _CACHED = load_gated("simulator", _build_native_sim)
+    return _CACHED
+
+
+def _prepass_sim() -> NativeSim:
+    """The compiled kernels, ungated, for timing a compiled prepass.
+
+    Already loaded wherever the prepass ran; built here only when the
+    prepass was unpickled into a process that has not loaded them yet.
+    """
+    global _CACHED
+    if _CACHED is None:
+        _CACHED = _build_native_sim()
     return _CACHED
 
 
@@ -1002,65 +1022,6 @@ class PackedPrepass:
     needs_reg: np.ndarray      # int8
 
 
-def pack_prepass_records(
-    workload: Workload, prepass
-) -> PackedPrepass:
-    """Pack Python-produced prepass records for the native timing loop.
-
-    This is the interop path: a prepass computed by the pure-Python
-    pass (or loaded from somewhere) still feeds the compiled timing
-    loop.  Service levels are recovered from the charge tuples, which
-    encode them cumulatively.
-    """
-    pw = pack_workload(workload)
-    n = pw.n
-    records = prepass.records
-    fetch_level = np.zeros(n, np.int8)
-    itlb_miss = np.zeros(n, np.int8)
-    mispredicted = np.zeros(n, np.int8)
-    dtlb_miss = np.zeros(n, np.int8)
-    data_level = np.zeros(n, np.int8)
-    p0 = np.full(n, -1, np.int64)
-    p1 = np.full(n, -1, np.int64)
-    a0 = np.full(n, -1, np.int64)
-    a1 = np.full(n, -1, np.int64)
-    store_barrier = np.empty(n, np.int64)
-    line_sharer = np.empty(n, np.int64)
-    itlb_event = EventType.ITLB
-    load_class = OpClass.LOAD
-    for i, rec in enumerate(records):
-        fc = rec.fetch_charge
-        if fc:
-            # ITLB (optional) + L1I [+ L2I [+ MEM_I]]
-            has_itlb = fc[0][0] == itlb_event
-            itlb_miss[i] = has_itlb
-            fetch_level[i] = len(fc) - (1 if has_itlb else 0)
-        mispredicted[i] = rec.mispredicted
-        dtlb_miss[i] = rec.dtlb_miss
-        if workload[i].opclass is load_class:
-            data_level[i] = len(rec.exec_charge)
-        dp = rec.data_producers
-        if dp:
-            p0[i] = dp[0]
-            if len(dp) > 1:
-                p1[i] = dp[1]
-        ap = rec.addr_producers
-        if ap:
-            a0[i] = ap[0]
-            if len(ap) > 1:
-                a1[i] = ap[1]
-        store_barrier[i] = rec.store_barrier
-        line_sharer[i] = rec.line_sharer
-    needs_reg = np.asarray(prepass.needs_phys_reg, np.int8)
-    return PackedPrepass(
-        workload=pw, fetch_level=fetch_level, itlb_miss=itlb_miss,
-        mispredicted=mispredicted, dtlb_miss=dtlb_miss,
-        data_level=data_level, p0=p0, p1=p1, a0=a0, a1=a1,
-        store_barrier=store_barrier, line_sharer=line_sharer,
-        needs_reg=needs_reg,
-    )
-
-
 # ----------------------------------------------------------------------
 # native functional pre-pass
 # ----------------------------------------------------------------------
@@ -1149,7 +1110,7 @@ _EMPTY_INT8 = np.zeros(0, np.int8)
 _EMPTY_INT64 = np.zeros(0, np.int64)
 
 
-def _run_native_prepass(
+def run_native_prepass(
     workload: Workload,
     config: MicroarchConfig,
     warm_caches: bool,
@@ -1203,14 +1164,10 @@ def _run_native_prepass(
             pred_kind, core.branch_predictor_entries - 1,
             (1 << _GSHARE_HISTORY_BITS) - 1,
             _PREFETCHER_KINDS[config.prefetcher], _STRIDE_TABLE_ENTRIES,
-            # LINE_SHARE_WINDOW (imported lazily to avoid a cycle)
-            64,
+            LINE_SHARE_WINDOW,
         ],
         np.int64,
     )
-    from repro.simulator.prepass import LINE_SHARE_WINDOW
-
-    cfg[21] = LINE_SHARE_WINDOW
 
     fetch_level = np.zeros(n, np.int8)
     itlb_miss = np.zeros(n, np.int8)
@@ -1247,159 +1204,6 @@ def _run_native_prepass(
         needs_reg=(pw.dst >= 0).astype(np.int8),
     )
     return packed, stats
-
-
-def native_prepass_pieces(
-    workload: Workload,
-    config: MicroarchConfig,
-    warm_caches: bool = True,
-    warm_stream: Optional[Workload] = None,
-    predictor_extra_stream: Optional[Workload] = None,
-    sim: Optional[NativeSim] = None,
-):
-    """Run the compiled functional pre-pass.
-
-    Returns ``(packed_prepass, stats)`` — per-µop records are *not*
-    built here; :class:`repro.simulator.prepass.PrepassResult`
-    materialises them lazily from the packed arrays only if legacy
-    Python-side code asks.  Raises :class:`UnsupportedWorkloadError`
-    when the workload cannot be packed.
-    """
-    if sim is None:
-        sim = load_native_sim()
-    if sim is None:
-        raise RuntimeError("native simulator unavailable")
-    return _run_native_prepass(
-        workload, config, warm_caches, warm_stream,
-        predictor_extra_stream, sim,
-    )
-
-
-def _build_records(pp: PackedPrepass) -> List[UopTrace]:
-    """Rebuild UopTrace records from the C outcome arrays.
-
-    Charge tuples are shared constants: the Python path builds
-    value-identical tuples, so equality (and the canonical digest) is
-    preserved.  Records carry prepass state only (zero timestamps, -1
-    witnesses) — since the columnar rework this is the lazy
-    ``PrepassResult.records`` compatibility path, never the simulate
-    fast path, so no stamped variant exists any more.
-    """
-    pw = pp.workload
-    fetch_level = pp.fetch_level
-    itlb_miss = pp.itlb_miss
-    mispredicted = pp.mispredicted
-    dtlb_miss = pp.dtlb_miss
-    data_level = pp.data_level
-    p0, p1, a0, a1 = pp.p0, pp.p1, pp.a0, pp.a1
-    store_barrier = pp.store_barrier
-    line_sharer = pp.line_sharer
-    load_charge = {
-        level: data_access_charge(level, False) for level in (1, 2, 3)
-    }
-    # fetch_tbl[level][itlb_miss]; level 0 = no new line opened.
-    fetch_tbl = [[(), ()]] + [
-        [fetch_access_charge(level, False), fetch_access_charge(level, True)]
-        for level in (1, 2, 3)
-    ]
-    base_charge = ((EventType.BASE, 1),)
-    exec_static = {
-        int(oc): ((EXEC_EVENT[oc], 1),) for oc in OpClass
-    }
-    exec_static[int(OpClass.NOP)] = base_charge
-    exec_static[int(OpClass.STORE)] = base_charge
-    load_id = int(OpClass.LOAD)
-    store_id = int(OpClass.STORE)
-
-    opclass = pw.opclass
-    is_load = opclass == load_id
-    # Vectorise every per-row conditional up front: exec/fetch charges
-    # become single flat-table lookups, and booleans materialise as
-    # Python ``True``/``False`` via the bool-array ``tolist``.
-    exec_key = np.where(is_load, data_level + 16, opclass)
-    exec_tbl = dict(exec_static)
-    for level in (1, 2, 3):
-        exec_tbl[level + 16] = load_charge[level]
-    ec_l = [exec_tbl[key] for key in exec_key.tolist()]
-    fetch_flat = [charge for pair in fetch_tbl for charge in pair]
-    fc_l = [
-        fetch_flat[key]
-        for key in (fetch_level * 2 + itlb_miss).tolist()
-    ]
-    dm_l = (dtlb_miss == 1).tolist()
-    mp_l = (mispredicted == 1).tolist()
-    sb_l = np.where(is_load, store_barrier, -1).tolist()
-    nsrc_l = pw.n_src.tolist()
-    nasrc_l = pw.n_asrc.tolist()
-    p0_l = p0.tolist()
-    p1_l = p1.tolist()
-    a0_l = a0.tolist()
-    a1_l = a1.tolist()
-    ls_l = line_sharer.tolist()
-    zeros = [0] * pw.n
-    negs = [-1] * pw.n
-    tf_l = tr_l = td_l = trd_l = ti_l = tc_l = tcm_l = zeros
-    pf_l = iqf_l = negs
-
-    empty = ()
-    # Bulk-allocate the bare instances through a C-level map, then fill
-    # each instance dict wholesale — the cheapest way to materialise 17
-    # fields per record at trace scale; all values are immutable.  The
-    # wide zip keeps the per-row work to one C-level unpack instead of
-    # sixteen list indexings.  Cyclic GC is paused for the duration:
-    # nothing allocated here can form a cycle, and at trace scale the
-    # generational collector otherwise re-walks the growing record list
-    # dozens of times.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        records: List[UopTrace] = list(
-            map(UopTrace.__new__, itertools.repeat(UopTrace, pw.n))
-        )
-        for (
-            rec, seq, ec, fc, dm, mp, ns, na, pp0, pp1, aa0, aa1, sb, ls,
-            tf, tr, td, trd, ti, tc, tcm, pf, iqf,
-        ) in zip(
-            records, range(pw.n), ec_l, fc_l, dm_l, mp_l, nsrc_l, nasrc_l,
-            p0_l, p1_l, a0_l, a1_l, sb_l, ls_l,
-            tf_l, tr_l, td_l, trd_l, ti_l, tc_l, tcm_l, pf_l, iqf_l,
-        ):
-            rec.__dict__ = {
-                "seq": seq,
-                "exec_charge": ec,
-                "fetch_charge": fc,
-                "dtlb_miss": dm,
-                "mispredicted": mp,
-                "data_producers": (
-                    empty if ns == 0
-                    else (pp0,) if ns == 1
-                    else (pp0, pp1)
-                ),
-                "addr_producers": (
-                    empty if na == 0
-                    else (aa0,) if na == 1
-                    else (aa0, aa1)
-                ),
-                "store_barrier": sb,
-                "line_sharer": ls,
-                "phys_reg_freer": pf,
-                "iq_freer": iqf,
-                "t_fetch": tf,
-                "t_rename": tr,
-                "t_dispatch": td,
-                "t_ready": trd,
-                "t_issue": ti,
-                "t_complete": tc,
-                "t_commit": tcm,
-            }
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    # Non-load memory µops keep the -1 store_barrier default; stores in
-    # the C pass never write it, so nothing further to fix up.
-    _ = store_id
-    return records
 
 
 # ----------------------------------------------------------------------
@@ -1676,127 +1480,30 @@ def _run_native_timing(
     return int(out[0]), stamps
 
 
-def _result_stats(prepass_stats, workload: Workload) -> dict:
-    stats = dict(prepass_stats)
+def native_timing(
+    workload: Workload, config: MicroarchConfig, prepass: PrepassResult
+) -> SimResult:
+    """Time a compiled prepass with the compiled loop.
+
+    The result is assembled columnar with no per-row Python work.  The
+    structural witnesses live in sticky arrays on *prepass*: bound on
+    its first timing run and kept across later runs over the same
+    prepass, as :class:`~repro.simulator.core.TimingSimulator` keeps
+    them in the records it restamps.  The ``REPRO_NATIVE`` gate is not
+    read here: it was read when the prepass ran.
+    """
+    pp = prepass.packed
+    preg_freer, iq_freer = prepass.witness_arrays(pp.workload.n)
+    cycles, stamps = _run_native_timing(
+        pp, config, preg_freer, iq_freer, _prepass_sim()
+    )
+    stats = dict(prepass.stats)
     stats["uops"] = len(workload)
     stats["macro_ops"] = workload.num_macro_ops
-    return stats
-
-
-def try_native_timing(
-    workload: Workload,
-    config: MicroarchConfig,
-    prepass,
-    native: Optional[bool] = None,
-) -> Optional[SimResult]:
-    """Run the compiled timing loop, or return ``None`` to fall back.
-
-    The prepass may come from either implementation: a native prepass
-    carries its packed arrays; a Python one is packed on the fly.  When
-    the prepass records were never materialised (fully-native runs) the
-    result is assembled columnar with zero per-row Python work, and the
-    structural witnesses live in sticky per-prepass arrays — bound on
-    the first run, persistent across runs sharing the prepass, exactly
-    as the record-restamping path behaves.  When records exist, they are
-    (re-)stamped in place like the Python loop does.
-    """
-    sim = resolve_native(native)
-    if sim is None:
-        return None
-    pp = getattr(prepass, "packed", None)
-    if pp is None:
-        try:
-            pp = pack_prepass_records(workload, prepass)
-        except UnsupportedWorkloadError:
-            if native is True:
-                raise
-            return None
-
-    if not getattr(prepass, "records_materialised", True):
-        preg_freer, iq_freer = prepass.witness_arrays(pp.workload.n)
-        cycles, stamps = _run_native_timing(
-            pp, config, preg_freer, iq_freer, sim
-        )
-        return SimResult(
-            workload=workload,
-            config=config,
-            cycles=cycles,
-            columns=_trace_columns(pp, stamps, preg_freer, iq_freer),
-            stats=_result_stats(prepass.stats, workload),
-        )
-
-    records = prepass.records
-    preg_freer = np.fromiter(
-        (rec.phys_reg_freer for rec in records), np.int64, count=len(records)
-    )
-    iq_freer = np.fromiter(
-        (rec.iq_freer for rec in records), np.int64, count=len(records)
-    )
-    cycles, stamps = _run_native_timing(pp, config, preg_freer, iq_freer, sim)
-
-    for rec, tf, tr, td, tready, ti, tc, tcm, pf, iqf in zip(
-        records,
-        *(stamp.tolist() for stamp in stamps),
-        preg_freer.tolist(),
-        iq_freer.tolist(),
-    ):
-        d = rec.__dict__
-        d["t_fetch"] = tf
-        d["t_rename"] = tr
-        d["t_dispatch"] = td
-        d["t_ready"] = tready
-        d["t_issue"] = ti
-        d["t_complete"] = tc
-        d["t_commit"] = tcm
-        d["phys_reg_freer"] = pf
-        d["iq_freer"] = iqf
-
-    return SimResult(
-        workload=workload,
-        config=config,
-        cycles=cycles,
-        uops=tuple(records),
-        stats=_result_stats(prepass.stats, workload),
-    )
-
-
-def try_native_simulate(
-    workload: Workload,
-    config: MicroarchConfig,
-    warm_caches: bool = True,
-    native: Optional[bool] = None,
-) -> Optional[SimResult]:
-    """Fused compiled prepass + timing run, or ``None`` to fall back.
-
-    This is the fast path for one-shot :func:`repro.simulator.simulate`
-    calls: both C kernels run back to back and the result is assembled
-    directly into :class:`TraceColumns` from the C outcome arrays —
-    zero per-row Python work.  :class:`UopTrace` records exist only if
-    legacy code later touches ``result.uops``.
-    """
-    if len(workload) == 0:
-        # Same contract as run_prepass: reject rather than emit an
-        # empty result.
-        raise ValueError("cannot simulate an empty workload")
-    sim = resolve_native(native)
-    if sim is None:
-        return None
-    try:
-        pp, prepass_stats = _run_native_prepass(
-            workload, config, warm_caches, None, None, sim
-        )
-    except UnsupportedWorkloadError:
-        if native is True:
-            raise
-        return None
-    n = pp.workload.n
-    preg_freer = np.full(n, -1, np.int64)
-    iq_freer = np.full(n, -1, np.int64)
-    cycles, stamps = _run_native_timing(pp, config, preg_freer, iq_freer, sim)
     return SimResult(
         workload=workload,
         config=config,
         cycles=cycles,
         columns=_trace_columns(pp, stamps, preg_freer, iq_freer),
-        stats=_result_stats(prepass_stats, workload),
+        stats=stats,
     )

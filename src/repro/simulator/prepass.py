@@ -15,6 +15,12 @@ configuration replays byte-identical events, which is the founding
 assumption of single-simulation design space exploration (the paper's
 modified MARSSx86 relies on the same property by replaying one trace).
 The timing loop (``repro.simulator.core``) then only assigns cycles.
+
+:func:`run_prepass` is where a simulation picks its implementation, and
+the only place that reads the ``REPRO_NATIVE`` gate: the compiled pass
+(``repro.simulator.native``) returns packed outcome arrays, the Python
+pass below returns per-µop records, and the timing run follows the form
+it is given.
 """
 
 from __future__ import annotations
@@ -41,33 +47,29 @@ LINE_SHARE_WINDOW = 64
 class PrepassResult:
     """Static (latency-invariant) facts about one run.
 
-    When the native pre-pass produced the result, only :attr:`packed`
-    (the flat-array ``repro.simulator.native.PackedPrepass`` view) is
-    populated eagerly; the per-µop record list and the bookkeeping lists
-    are materialised lazily the first time Python-side code touches
-    them.  The native timing loop never does, so a fully-native
-    simulate+analyse run performs zero per-row Python work here.
+    Each pass fills its own form, and each form is timed by the loop of
+    the same implementation (:func:`repro.simulator.core.time_prepass`):
+    the Python pass fills the record fields and leaves :attr:`packed`
+    ``None``; the compiled pass fills only :attr:`packed`.
 
     Attributes:
-        records: per-µop trace records with all non-timing fields filled
-            (lazy when built from ``packed``).
+        records: per-µop trace records with all non-timing fields
+            filled (Python pass).
         frees_reg_on_commit: µops whose commit returns a physical register
             to the free list (their destination had an earlier writer).
         needs_phys_reg: µops that allocate a physical register at rename.
         macro_last_uop: for each µop, the seq of the last µop of its
             macro-op (used for the SoM commit gate).
         stats: functional counters (cache hits/misses, mispredictions).
-        packed: flat-array view of the outcome when the native pre-pass
-            produced it; the native timing loop consumes it directly.
-            ``None`` for Python-produced results (they can be packed on
-            demand).
+        packed: the ``repro.simulator.native.PackedPrepass`` outcome
+            arrays (compiled pass).
     """
 
     __slots__ = (
-        "_records",
-        "_frees",
-        "_needs",
-        "_macro_last",
+        "records",
+        "frees_reg_on_commit",
+        "needs_phys_reg",
+        "macro_last_uop",
         "stats",
         "packed",
         "_preg_witness",
@@ -83,64 +85,22 @@ class PrepassResult:
         stats: Optional[Dict[str, int]] = None,
         packed: Optional[object] = None,
     ):
-        if records is None and packed is None:
-            raise ValueError("PrepassResult needs records or a packed view")
-        self._records = records
-        self._frees = frees_reg_on_commit
-        self._needs = needs_phys_reg
-        self._macro_last = macro_last_uop
+        if (records is None) == (packed is None):
+            raise ValueError(
+                "PrepassResult needs either records or a packed view"
+            )
+        self.records = records
+        self.frees_reg_on_commit = frees_reg_on_commit
+        self.needs_phys_reg = needs_phys_reg
+        self.macro_last_uop = macro_last_uop
         self.stats = stats if stats is not None else {}
         self.packed = packed
-        # Sticky structural-witness state for the columnar native timing
-        # path.  Witnesses bind on the first timing run over a prepass and
-        # persist across later runs sharing it — exactly the semantics the
-        # record-based path gets by restamping the shared record list.
+        # Sticky structural-witness state for the compiled timing loop.
+        # Witnesses bind on the first timing run over a prepass and
+        # persist across later runs sharing it — the semantics the
+        # Python loop gets by restamping the shared record list.
         self._preg_witness = None
         self._iq_witness = None
-
-    @property
-    def records_materialised(self) -> bool:
-        return self._records is not None
-
-    @property
-    def records(self) -> List[UopTrace]:
-        if self._records is None:
-            from repro.simulator.native import _build_records
-
-            self._records = _build_records(self.packed)
-            if self._preg_witness is not None:
-                # Timing already ran natively against this prepass: the
-                # bound witnesses live in the sticky arrays, not the
-                # freshly-built records.  Inject them.
-                for record, preg, iq in zip(
-                    self._records,
-                    self._preg_witness.tolist(),
-                    self._iq_witness.tolist(),
-                ):
-                    record.phys_reg_freer = preg
-                    record.iq_freer = iq
-        return self._records
-
-    @property
-    def frees_reg_on_commit(self) -> List[bool]:
-        if self._frees is None:
-            # In this pipeline a µop frees a register iff it allocates
-            # one (the initial architectural mapping counts as a prior
-            # writer), so both lists derive from the packed needs mask.
-            self._frees = (self.packed.needs_reg != 0).tolist()
-        return self._frees
-
-    @property
-    def needs_phys_reg(self) -> List[bool]:
-        if self._needs is None:
-            self._needs = (self.packed.needs_reg != 0).tolist()
-        return self._needs
-
-    @property
-    def macro_last_uop(self) -> List[int]:
-        if self._macro_last is None:
-            self._macro_last = self.packed.workload.macro_last.tolist()
-        return self._macro_last
 
     def witness_arrays(self, n: int):
         """Sticky (phys_reg_freer, iq_freer) arrays for native timing."""
@@ -294,9 +254,11 @@ def run_prepass(
             state the interval would see in situ.
         native: ``None`` uses the compiled pass when available (the
             ``REPRO_NATIVE``-gated default), ``False`` forces the Python
-            pass, ``True`` requires the compiled one.  Both passes are
-            bit-identical by construction and pinned by the differential
-            parity suite.
+            pass, ``True`` requires the compiled one.  The choice fixes
+            the timing loop too: a compiled prepass is timed by the
+            compiled loop, a Python one by ``TimingSimulator``.  Both
+            pipelines are bit-identical by construction and pinned by
+            the differential parity suite.
     """
     if len(workload) == 0:
         raise ValueError("cannot simulate an empty workload")
@@ -440,15 +402,15 @@ def _try_native_prepass(
     """Run the compiled pre-pass, or return ``None`` to fall back."""
     from repro.simulator.native import (
         UnsupportedWorkloadError,
-        native_prepass_pieces,
         resolve_native,
+        run_native_prepass,
     )
 
     sim = resolve_native(native)
     if sim is None:
         return None
     try:
-        packed, stats = native_prepass_pieces(
+        packed, stats = run_native_prepass(
             workload, config, warm_caches, warm_stream,
             predictor_extra_stream, sim,
         )
@@ -456,6 +418,4 @@ def _try_native_prepass(
         if native is True:
             raise
         return None
-    # Records and bookkeeping lists stay unmaterialised: the native
-    # timing loop and the columnar trace builder read `packed` directly.
     return PrepassResult(stats=stats, packed=packed)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.baselines.cp1 import CP1Predictor
 from repro.baselines.fmt import FMTPredictor
+from repro.common.events import EventType
 from repro.dse.pipeline import _LAZY_FIELDS, analyze
 from repro.obs.observer import Observer
 from repro.runtime import graphio
@@ -119,6 +120,21 @@ def test_unresolved_hit_session_pickles(primed):
             assert clone.all_predictors()[name].predict_cycles(
                 probe
             ) == predictor.predict_cycles(probe), (name, overrides)
+
+
+def test_hit_machine_keeps_the_analysis_cache_warming(tmp_path):
+    """A hit's machine re-simulates with the analysis's ``warm_caches``
+    setting, also after an unresolved hit session is pickled."""
+    cache = ArtifactCache(tmp_path / "cache")
+    workload = make_workload("mcf", MACROS)
+    cold = analyze(workload, warm_caches=False, cache=cache)
+    hit = analyze(workload, warm_caches=False, cache=cache)
+    assert "machine" not in hit.__dict__
+    clone = pickle.loads(pickle.dumps(hit))
+    probe = cold.config.latency.with_overrides({EventType.L1D: 2})
+    cycles = cold.simulate(probe).cycles
+    assert hit.simulate(probe).cycles == cycles
+    assert clone.simulate(probe).cycles == cycles
 
 
 def test_unknown_attribute_still_raises(primed):

@@ -4,8 +4,8 @@ The compiled prepass/timing kernels in ``repro.simulator.native`` claim
 *bit-identical* results — same cycles, same stats, same per-µop trace
 records — for every supported workload/configuration.  These tests are
 the gate on that claim: the full workload suite, the stress kernels,
-shrunken-structure configurations, both prefetchers, mixed
-python-prepass/native-timing runs, and the explicit fallback paths.
+shrunken-structure configurations, both prefetchers, ``Machine``
+re-pricing on either pipeline, and the explicit fallback paths.
 
 Everything here compares through :func:`result_digest`, the canonical
 SHA-256 over every behaviour-bearing field, so "equal" really means
@@ -33,10 +33,7 @@ from repro.simulator.native import (
     UnsupportedWorkloadError,
     load_native_sim,
     resolve_native,
-    try_native_simulate,
-    try_native_timing,
 )
-from repro.simulator.prepass import run_prepass
 from repro.simulator.traceio import result_digest
 from repro.workloads.kernels import STRESS_KERNELS, daxpy
 from repro.workloads.suite import make_workload, suite_names
@@ -122,16 +119,7 @@ class TestStressDifferential:
 
 @requires_native
 class TestMixedMode:
-    def test_python_prepass_feeds_native_timing(self):
-        """Interop: a Python prepass priced by the compiled timing loop."""
-        workload = make_workload("gamess", MACROS)
-        config = baseline_config()
-        prepass = run_prepass(workload, config, native=False)
-        assert prepass.packed is None
-        native = try_native_timing(workload, config, prepass)
-        assert native is not None
-        python = simulate(workload, config, native=False)
-        assert result_digest(native) == result_digest(python)
+    """Native and Python ``Machine`` pipelines side by side."""
 
     def test_machine_reruns_share_prepass(self):
         """Machine's per-latency reruns stay identical and cached."""
@@ -185,9 +173,18 @@ class TestFallback:
         python = simulate(workload, config, native=False)
         auto = simulate(workload, config)
         assert result_digest(auto) == result_digest(python)
+        # Machine falls back as a whole: both passes run in Python.
+        obs = Observer(enabled=True, progress_stream=None)
+        with use_observer(obs):
+            machine = Machine(workload, config)
+            assert result_digest(machine.simulate()) == result_digest(python)
+        assert machine.prepass.packed is None
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["sim.runs"] == 1
+        assert counters.get("sim.native_runs", 0) == 0
         if load_native_sim() is not None:
             with pytest.raises(UnsupportedWorkloadError):
-                try_native_simulate(workload, config, native=True)
+                simulate(workload, config, native=True)
 
     def test_gate_off_disables_native(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
@@ -200,4 +197,21 @@ class TestFallback:
         result = simulate(workload, baseline_config())
         assert result_digest(result) == result_digest(
             simulate(workload, baseline_config(), native=False)
+        )
+
+    @requires_native
+    def test_timing_follows_the_prepass_not_the_gate(self, monkeypatch):
+        """The gate is read once, at the prepass: turning it off before
+        a native Machine's timing run still times natively."""
+        workload = make_workload("gcc", MACROS)
+        config = baseline_config()
+        machine = Machine(workload, config)
+        assert machine.prepass.packed is not None
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        obs = Observer(enabled=True, progress_stream=None)
+        with use_observer(obs):
+            result = machine.simulate()
+        assert obs.metrics.snapshot()["counters"]["sim.native_runs"] == 1
+        assert result_digest(result) == result_digest(
+            simulate(workload, config, native=False)
         )

@@ -1,10 +1,17 @@
-"""Functional pre-pass tests: latency invariance, deps, warming rules."""
+"""Functional pre-pass tests: latency invariance, deps, warming rules.
+
+Per-µop prepass fields are read from ``simulate(...).uops``: timing never
+changes them, and that view exists for either pipeline.  So these tests
+check the compiled pass under the default ``REPRO_NATIVE`` gate and the
+Python pass under ``REPRO_NATIVE=0``.
+"""
 
 import pytest
 
 from repro.common.config import MicroarchConfig, baseline_config
 from repro.common.events import EventType
 from repro.isa.uop import MicroOp, OpClass, Workload
+from repro.simulator.core import simulate
 from repro.simulator.prepass import run_prepass
 from repro.workloads.generator import WorkloadSpec, generate
 from repro.workloads.suite import make_workload
@@ -16,6 +23,27 @@ def charge_events(charge):
 
 def hand_workload(uops):
     return Workload(name="hand", uops=tuple(uops))
+
+
+def trace(workload, config=None):
+    """The per-µop records of one baseline run (prepass fields intact)."""
+    return simulate(workload, config or baseline_config()).uops
+
+
+def bookkeeping(prepass):
+    """``(needs_phys_reg, frees_reg_on_commit, macro_last_uop)`` read
+    from whichever form the pass produced."""
+    packed = prepass.packed
+    if packed is None:
+        return (
+            prepass.needs_phys_reg,
+            prepass.frees_reg_on_commit,
+            prepass.macro_last_uop,
+        )
+    # The compiled timing loop frees a register at commit exactly when
+    # the µop allocated one, so one mask serves both lists.
+    needs = (packed.needs_reg != 0).tolist()
+    return needs, needs, packed.workload.macro_last.tolist()
 
 
 def alu(seq, macro, srcs=(), dst=None, pc=None):
@@ -32,9 +60,9 @@ class TestLatencyInvariance:
         changed = base.with_latency_overrides(
             {EventType.L1D: 1, EventType.MEM_D: 40, EventType.FP_ADD: 1}
         )
-        a = run_prepass(tiny_workload, base)
-        b = run_prepass(tiny_workload, changed)
-        for ra, rb in zip(a.records, b.records):
+        a = simulate(tiny_workload, base)
+        b = simulate(tiny_workload, changed)
+        for ra, rb in zip(a.uops, b.uops):
             assert ra.exec_charge == rb.exec_charge
             assert ra.fetch_charge == rb.fetch_charge
             assert ra.mispredicted == rb.mispredicted
@@ -51,14 +79,12 @@ class TestDependencies:
                 alu(2, 2, srcs=(1,), dst=2),
             ]
         )
-        result = run_prepass(workload, baseline_config())
         # The consumer must see the *latest* writer of register 1.
-        assert result.records[2].data_producers == (1,)
+        assert trace(workload)[2].data_producers == (1,)
 
     def test_unwritten_register_has_no_producer(self):
         workload = hand_workload([alu(0, 0, srcs=(5,), dst=1)])
-        result = run_prepass(workload, baseline_config())
-        assert result.records[0].data_producers == (-1,)
+        assert trace(workload)[0].data_producers == (-1,)
 
     def test_store_barrier_points_to_last_store(self):
         store = MicroOp(
@@ -69,21 +95,20 @@ class TestDependencies:
             seq=1, macro_id=1, som=True, eom=True, opclass=OpClass.LOAD,
             pc=4, mem_addr=(1 << 30) + 4096, dst_reg=3, addr_src_regs=(2,),
         )
-        result = run_prepass(
-            hand_workload([store, load]), baseline_config()
-        )
-        assert result.records[1].store_barrier == 0
+        assert trace(hand_workload([store, load]))[1].store_barrier == 0
 
     def test_phys_reg_bookkeeping(self):
         workload = hand_workload(
             [alu(0, 0, dst=1), alu(1, 1), alu(2, 2, dst=1)]
         )
-        result = run_prepass(workload, baseline_config())
+        needs, frees, _ = bookkeeping(
+            run_prepass(workload, baseline_config())
+        )
         # Every writer allocates, and frees its destination's previous
         # mapping at commit (the initial architectural mapping counts);
         # µop 1 has no destination and touches no registers.
-        assert result.needs_phys_reg == [True, False, True]
-        assert result.frees_reg_on_commit == [True, False, True]
+        assert needs == [True, False, True]
+        assert frees == [True, False, True]
 
     def test_macro_last_uop(self):
         uops = [
@@ -93,20 +118,20 @@ class TestDependencies:
                     opclass=OpClass.INT_ALU, pc=0, src_regs=(1,), dst_reg=2),
             alu(2, 1),
         ]
-        result = run_prepass(hand_workload(uops), baseline_config())
-        assert result.macro_last_uop == [1, 1, 2]
+        _, _, macro_last = bookkeeping(
+            run_prepass(hand_workload(uops), baseline_config())
+        )
+        assert macro_last == [1, 1, 2]
 
 
 class TestEventCharges:
     def test_line_opener_carries_fetch_charge(self):
         # 17 sequential macro-ops cross a 64-byte line boundary once.
         workload = hand_workload([alu(i, i) for i in range(17)])
-        result = run_prepass(workload, baseline_config())
-        openers = [
-            r.seq for r in result.records if r.fetch_charge
-        ]
+        records = trace(workload)
+        openers = [r.seq for r in records if r.fetch_charge]
         assert openers == [0, 16]
-        assert EventType.L1I in charge_events(result.records[0].fetch_charge)
+        assert EventType.L1I in charge_events(records[0].fetch_charge)
 
     def test_resident_load_charges_l1_only(self):
         spec = WorkloadSpec(
@@ -114,8 +139,7 @@ class TestEventCharges:
             working_set_bytes=4 * 1024, code_footprint_bytes=1024,
         )
         workload = generate(spec, seed=1)
-        result = run_prepass(workload, baseline_config())
-        for record, uop in zip(result.records, workload):
+        for record, uop in zip(trace(workload), workload):
             if uop.is_load:
                 events = charge_events(record.exec_charge)
                 assert EventType.L1D in events
@@ -123,17 +147,16 @@ class TestEventCharges:
 
     def test_huge_working_set_reaches_memory(self):
         workload = make_workload("mcf", 200)
-        result = run_prepass(workload, baseline_config())
         memory_loads = sum(
             1
-            for record in result.records
+            for record in trace(workload)
             if EventType.MEM_D in charge_events(record.exec_charge)
         )
         assert memory_loads > 10
 
     def test_mispredictions_counted(self, tiny_workload):
-        result = run_prepass(tiny_workload, baseline_config())
-        flagged = sum(1 for r in result.records if r.mispredicted)
+        result = simulate(tiny_workload, baseline_config())
+        flagged = sum(1 for r in result.uops if r.mispredicted)
         assert flagged == result.stats["branch_mispredictions"]
 
     def test_empty_workload_rejected(self):
